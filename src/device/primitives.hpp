@@ -328,6 +328,40 @@ T exclusive_scan(const Context& ctx, const T* in, std::size_t n, T* out) {
   return detail::chained_scan<false>(ctx, in, n, out);
 }
 
+/// In-place exclusive prefix sum over a rows x cols row-major table, taken
+/// column by column: cell (r, c) becomes the sum of every cell in columns
+/// before c plus cells (0..r-1, c). This is the offset layout of a counting
+/// sort whose input slices each count into their own row, so no counter is
+/// shared between workers. Also writes each column's first offset to
+/// column_base[c]. Returns the grand total. One chained kernel over the
+/// columns.
+template <typename T>
+T exclusive_scan_columns(const Context& ctx, T* table, std::size_t rows,
+                         std::size_t cols, T* column_base) {
+  return detail::chunk_lookback<T>(
+      ctx, cols,
+      [&](std::size_t begin, std::size_t end) {
+        T local{};
+        for (std::size_t r = 0; r < rows; ++r) {
+          const T* row = table + r * cols;
+          for (std::size_t c = begin; c < end; ++c) local += row[c];
+        }
+        return local;
+      },
+      [&](std::size_t begin, std::size_t end, T base) {
+        for (std::size_t c = begin; c < end; ++c) {
+          column_base[c] = base;
+          for (std::size_t r = 0; r < rows; ++r) {
+            T& cell = table[r * cols + c];
+            const T count = cell;
+            cell = base;
+            base += count;
+          }
+        }
+        return base;
+      });
+}
+
 /// Inclusive prefix sum: out[i] = sum of in[0..i]. Returns the grand total.
 /// in == out aliasing is allowed.
 template <typename T>

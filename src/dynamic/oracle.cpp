@@ -1,6 +1,8 @@
 #include "dynamic/oracle.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -128,24 +130,29 @@ void ConnectivityOracle::rebuild(const device::Context& ctx,
   }
 
   // Connected components; the representatives both stitch the augmented
-  // graph below and become the virtual-root children of the block tree.
-  bridges::SpanningForest forest;
+  // graph below and become the virtual-root children of the block tree,
+  // and the forest's tree edges carry the 2-ecc labeling.
+  bridges::SpanningForest own_forest;
+  const bridges::SpanningForest* forest = cc;
   {
     util::ScopedPhase phase(phases, "components");
-    if (cc != nullptr) {
-      // Precomputed by the caller (the engine's cached forest artifact).
-      // Only the labels are consumed here, and they are copied because the
-      // tail below moves them into cc_label_.
-      assert(cc->component.size() == n);
-      forest.component = cc->component;
-      forest.num_components = cc->num_components;
-    } else {
-      forest = bridges::cc_spanning_forest(ctx, snapshot);
+    if (forest == nullptr) {
+      own_forest = bridges::cc_spanning_forest(ctx, snapshot);
+      forest = &own_forest;
     }
   }
-  const std::size_t k = forest.num_components;
+  // A hinted forest must be the one the engine computed for THIS snapshot:
+  // a forest of another edge order would index the wrong edges and yield
+  // wrong labels with no other error.
+  assert(forest->component.size() == n);
+  assert(forest->tree_edges.size() + forest->num_components == n);
+  assert(std::all_of(forest->tree_edges.begin(), forest->tree_edges.end(),
+                     [&](EdgeId e) {
+                       return e >= 0 && static_cast<std::size_t>(e) < m;
+                     }));
+  const std::size_t k = forest->num_components;
   const std::vector<NodeId> comp_reps =
-      bridges::component_representatives(ctx, forest);
+      bridges::component_representatives(ctx, *forest);
 
   bridges::BridgeMask mask;
   {
@@ -170,7 +177,7 @@ void ConnectivityOracle::rebuild(const device::Context& ctx,
   std::vector<NodeId> label;
   {
     util::ScopedPhase phase(phases, "two_ecc");
-    label = bridges::two_edge_components(ctx, snapshot, mask);
+    label = bridges::two_edge_components(ctx, snapshot, *forest, mask);
   }
 
   util::ScopedPhase phase(phases, "block_tree");
@@ -193,7 +200,8 @@ void ConnectivityOracle::rebuild(const device::Context& ctx,
         .fetch_add(1, std::memory_order_relaxed);
   });
   num_blocks_ = num_blocks;
-  cc_label_ = std::move(forest.component);
+  cc_label_ = forest == &own_forest ? std::move(own_forest.component)
+                                    : forest->component;
 
   // Contract: blocks are the nodes, bridges the edges — a forest with one
   // tree per connected component (num_bridges == num_blocks - k), rooted

@@ -10,7 +10,11 @@
 //                          edge between two components can never change the
 //                          bridgeness of a real edge, so slicing the mask
 //                          back to the real edges is exact);
-//   2ecc labels          — two_edge_components (bridge removal + device CC);
+//   2ecc labels          — two_edge_components: device CC over the
+//                          spanning forest's non-bridge tree edges (at most
+//                          n - 1 of them; a bridge lies on no cycle, so the
+//                          forest minus the bridges splits exactly as the
+//                          graph minus the bridges does);
 //   bridge-block tree    — contract each 2-edge-connected component to one
 //                          node; the bridges are exactly the tree edges of
 //                          the resulting forest, which is rooted through a
@@ -107,10 +111,11 @@ class ConnectivityOracle {
   /// (uid, epoch) binding to a DynamicGraph and counts as a rebuild.
   /// `bridge_mask`, when provided, must align with `snapshot.edges` (any
   /// backend — they all agree) and lets the rebuild skip its own
-  /// Tarjan-Vishkin mask phase; `cc`, when provided, must be the spanning
-  /// forest of `snapshot` and spares the rebuild its components phase the
-  /// same way — so a session that already answered a Bridges request pays
-  /// only the marginal 2-ecc work.
+  /// Tarjan-Vishkin mask phase; `cc`, when provided, must be a spanning
+  /// forest of `snapshot` (tree edges indexing snapshot.edges, asserted in
+  /// Debug builds) and spares the rebuild its components phase the same
+  /// way — so a session that already answered a Bridges request pays only
+  /// the marginal 2-ecc work.
   void build(const device::Context& ctx, const graph::EdgeList& snapshot,
              const bridges::BridgeMask* bridge_mask = nullptr,
              const bridges::SpanningForest* cc = nullptr,

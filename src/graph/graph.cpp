@@ -21,36 +21,55 @@ bool EdgeList::valid() const {
 Csr build_csr(const device::Context& ctx, const EdgeList& graph) {
   const NodeId n = graph.num_nodes;
   const std::size_t m = graph.edges.size();
+  const auto rows = static_cast<std::size_t>(n);
   Csr csr;
   csr.num_nodes = n;
-  csr.row_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  csr.row_offsets.assign(rows + 1, 0);
   csr.neighbors.resize(2 * m);
   csr.edge_ids.resize(2 * m);
+  if (rows == 0) return csr;
 
-  // Degree counting with device-style atomics, then a scan, then scatter.
-  std::vector<EdgeId> degree(static_cast<std::size_t>(n), 0);
-  device::launch(ctx, m, [&](std::size_t e) {
-    std::atomic_ref<EdgeId>(degree[graph.edges[e].u])
-        .fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<EdgeId>(degree[graph.edges[e].v])
-        .fetch_add(1, std::memory_order_relaxed);
+  // A counting sort with no shared counter: the edges split into slices of
+  // consecutive ids, slice s counts its endpoints into its own row of a
+  // slices x n table, one column-major scan turns each (slice, node) count
+  // into that pair's cursor, and slice s scatters through its own cursors
+  // with plain stores. Slice s's half-edges land after those of slices < s
+  // in every row, and each slice walks its edges in id order, so every row
+  // is in ascending edge-id order whatever the slice count. The count is
+  // capped at 1 + 2m/n so the table never outgrows n + 2m cells.
+  const std::size_t slices =
+      std::min<std::size_t>(std::max(1u, ctx.workers()), 1 + 2 * m / rows);
+  const std::size_t per_slice = (m + slices - 1) / slices;
+  device::Arena::Scope scope(ctx.arena());
+  EdgeId* cursor = scope.get<EdgeId>(slices * rows);
+  const auto each_slice = [&](auto&& body) {
+    ctx.pool().parallel_for(
+        slices, 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t s = begin; s < end; ++s) {
+            body(cursor + s * rows, s * per_slice,
+                 std::min(m, (s + 1) * per_slice));
+          }
+        });
+  };
+  each_slice([&](EdgeId* count, std::size_t first, std::size_t last) {
+    std::fill(count, count + rows, EdgeId{0});
+    for (std::size_t e = first; e < last; ++e) {
+      ++count[graph.edges[e].u];
+      ++count[graph.edges[e].v];
+    }
   });
-  device::exclusive_scan(ctx, degree.data(), static_cast<std::size_t>(n),
-                         csr.row_offsets.data());
-  csr.row_offsets[static_cast<std::size_t>(n)] = static_cast<EdgeId>(2 * m);
-
-  std::vector<EdgeId> cursor(csr.row_offsets.begin(),
-                             csr.row_offsets.end() - 1);
-  device::launch(ctx, m, [&](std::size_t e) {
-    const Edge edge = graph.edges[e];
-    const EdgeId slot_u = std::atomic_ref<EdgeId>(cursor[edge.u])
-                              .fetch_add(1, std::memory_order_relaxed);
-    csr.neighbors[slot_u] = edge.v;
-    csr.edge_ids[slot_u] = static_cast<EdgeId>(e);
-    const EdgeId slot_v = std::atomic_ref<EdgeId>(cursor[edge.v])
-                              .fetch_add(1, std::memory_order_relaxed);
-    csr.neighbors[slot_v] = edge.u;
-    csr.edge_ids[slot_v] = static_cast<EdgeId>(e);
+  csr.row_offsets[rows] = device::exclusive_scan_columns(
+      ctx, cursor, slices, rows, csr.row_offsets.data());
+  each_slice([&](EdgeId* next, std::size_t first, std::size_t last) {
+    for (std::size_t e = first; e < last; ++e) {
+      const Edge edge = graph.edges[e];
+      const EdgeId slot_u = next[edge.u]++;
+      csr.neighbors[slot_u] = edge.v;
+      csr.edge_ids[slot_u] = static_cast<EdgeId>(e);
+      const EdgeId slot_v = next[edge.v]++;
+      csr.neighbors[slot_v] = edge.u;
+      csr.edge_ids[slot_v] = static_cast<EdgeId>(e);
+    }
   });
   return csr;
 }

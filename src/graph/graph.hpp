@@ -68,8 +68,10 @@ struct Csr {
   EdgeId degree(NodeId v) const { return row_offsets[v + 1] - row_offsets[v]; }
 };
 
-/// Builds CSR adjacency from an edge list. Counting-sort based: O(n + m),
-/// bulk-parallel over the device context.
+/// Builds CSR adjacency from an edge list. Counting-sort based: O(n + m)
+/// work and scratch, three bulk kernels, no atomics. Every row lists its
+/// half-edges in ascending edge-id order (a self-loop's two half-edges sit
+/// side by side), so the output is identical at any worker count.
 Csr build_csr(const device::Context& ctx, const EdgeList& graph);
 
 /// True iff `csr` could be the adjacency build_csr() produces for `graph`:

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bridges/biconnectivity.hpp"
+#include "bridges/cc_spanning.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/two_ecc.hpp"
 #include "device/context.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
+#include "support/reference.hpp"
 
 namespace emc::bridges {
 namespace {
@@ -173,12 +178,70 @@ TEST(Biconnectivity, DfsBaselineOnDisconnectedInput) {
 // The batch-dynamic subsystem (src/dynamic) feeds these shapes to the
 // static algorithms on every rebuild; pin them down standalone.
 
+/// True iff the two label arrays split the nodes into the same classes.
+bool same_partition(const std::vector<NodeId>& a,
+                    const std::vector<NodeId>& b) {
+  if (a.size() != b.size()) return false;
+  std::map<NodeId, NodeId> a_to_b, b_to_a;
+  for (std::size_t v = 0; v < a.size(); ++v) {
+    if (a_to_b.emplace(a[v], b[v]).first->second != b[v]) return false;
+    if (b_to_a.emplace(b[v], a[v]).first->second != a[v]) return false;
+  }
+  return true;
+}
+
+/// The generator suite raw (disconnected, with isolated nodes and parallel
+/// pairs), plus hand-made shapes whose only cycles are parallel pairs.
+std::vector<std::pair<std::string, graph::EdgeList>> two_ecc_inputs() {
+  std::vector<std::pair<std::string, graph::EdgeList>> inputs = {
+      {"kron", gen::kron_graph(9, 4, 1)},
+      {"social", gen::social_graph(9, 3, 2)},
+      {"road", gen::road_graph(25, 25, 0.65, 0.05, 3)},
+      {"er", gen::er_graph(400, 380, 4)},
+      {"cycle", gen::cycle_graph(100)},
+      {"path", gen::path_graph(50)},
+  };
+  // A path with every other edge doubled: the doubled edges are never
+  // bridges, the single ones always are.
+  graph::EdgeList doubled = gen::path_graph(40);
+  for (NodeId v = 0; v + 1 < 40; v += 2) doubled.edges.push_back({v + 1, v});
+  inputs.emplace_back("doubled-path", doubled);
+  // Two triangles and an isolated node, the triangles joined by a parallel
+  // pair: one 2-ecc of six nodes.
+  graph::EdgeList joined;
+  joined.num_nodes = 7;
+  joined.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5},
+                  {5, 3}, {2, 3}, {3, 2}};
+  inputs.emplace_back("joined-triangles", joined);
+  graph::EdgeList edgeless;
+  edgeless.num_nodes = 5;
+  inputs.emplace_back("edgeless", edgeless);
+  return inputs;
+}
+
+TEST_P(BiconnParam, ForestTwoEccMatchesReferenceOracle) {
+  for (const auto& [label, g] : two_ecc_inputs()) {
+    const test_support::ReferenceOracle ref(ctx_, g);
+    const SpanningForest forest = cc_spanning_forest(ctx_, g);
+    const auto labels = two_edge_components(
+        ctx_, g, forest, find_bridges_dfs(build_csr(ctx_, g)));
+    ASSERT_TRUE(same_partition(labels, ref.comp)) << label;
+    // Every label is its class's smallest node id, as a CC labeling of
+    // the bridgeless graph would assign.
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+      ASSERT_LE(labels[v], static_cast<NodeId>(v)) << label;
+      ASSERT_EQ(labels[labels[v]], labels[v]) << label;
+    }
+  }
+}
+
 TEST(BiconnectivityAdversarial, TwoEccOnEdgelessGraph) {
   // An update batch that erases everything leaves an edgeless snapshot.
   const device::Context ctx(1);
   graph::EdgeList g;
   g.num_nodes = 4;
-  const auto labels = two_edge_components(ctx, g, BridgeMask{});
+  const auto labels = two_edge_components(ctx, g, cc_spanning_forest(ctx, g),
+                                          BridgeMask{});
   ASSERT_EQ(labels.size(), 4u);
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 4u);  // all singletons
@@ -192,8 +255,8 @@ TEST(BiconnectivityAdversarial, TwoEccAcrossConnectingInsert) {
   g.num_nodes = 6;
   g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}};
   const graph::Csr before = build_csr(ctx, g);
-  const auto labels_before =
-      two_edge_components(ctx, g, find_bridges_dfs(before));
+  const auto labels_before = two_edge_components(
+      ctx, g, cc_spanning_forest(ctx, g), find_bridges_dfs(before));
   EXPECT_EQ(labels_before[0], labels_before[2]);
   EXPECT_NE(labels_before[0], labels_before[3]);
 
@@ -201,7 +264,8 @@ TEST(BiconnectivityAdversarial, TwoEccAcrossConnectingInsert) {
   const auto mask = find_bridges_dfs(build_csr(ctx, g));
   EXPECT_EQ(count_bridges(mask), 1u);
   EXPECT_EQ(mask[6], 1);
-  const auto labels_after = two_edge_components(ctx, g, mask);
+  const auto labels_after =
+      two_edge_components(ctx, g, cc_spanning_forest(ctx, g), mask);
   EXPECT_NE(labels_after[2], labels_after[3]);
   EXPECT_EQ(labels_after[0], labels_after[2]);
   EXPECT_EQ(labels_after[3], labels_after[5]);
@@ -221,7 +285,8 @@ TEST_P(BiconnParam, LosesAllBridgesAfterInsert) {
   const auto bic = biconnectivity_tv(ctx_, g);
   EXPECT_EQ(bic.num_blocks, 1u);
   for (const auto a : bic.is_articulation) EXPECT_EQ(a, 0);
-  const auto labels = two_edge_components(ctx_, g, mask_after);
+  const auto labels =
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g), mask_after);
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 1u);
   expect_tv_matches_dfs(ctx_, g, "closed-path");

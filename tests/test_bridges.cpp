@@ -219,7 +219,8 @@ TEST_P(BridgesParam, TwoEccPartitionsByBridges) {
   g.num_nodes = 6;
   g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}};
   const BridgeMask mask = find_bridges_tarjan_vishkin(ctx_, g);
-  const auto labels = two_edge_components(ctx_, g, mask);
+  const auto labels =
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g), mask);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_EQ(labels[3], labels[4]);
@@ -229,8 +230,9 @@ TEST_P(BridgesParam, TwoEccPartitionsByBridges) {
 
 TEST_P(BridgesParam, TwoEccOfCycleIsOneComponent) {
   const auto g = gen::cycle_graph(100);
-  const auto labels = two_edge_components(
-      ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
+  const auto labels =
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
+                          find_bridges_tarjan_vishkin(ctx_, g));
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 1u);
 }
@@ -238,7 +240,8 @@ TEST_P(BridgesParam, TwoEccOfCycleIsOneComponent) {
 TEST_P(BridgesParam, TwoEccOfTreeIsAllSingletons) {
   const auto g = gen::path_graph(50);
   const auto labels =
-      two_edge_components(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
+                          find_bridges_tarjan_vishkin(ctx_, g));
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 50u);
 }
@@ -246,7 +249,8 @@ TEST_P(BridgesParam, TwoEccOfTreeIsAllSingletons) {
 TEST_P(BridgesParam, TwoEccSizesSumToN) {
   const auto g = prepared(gen::er_graph(300, 450, 17));
   const auto labels =
-      two_edge_components(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
+                          find_bridges_tarjan_vishkin(ctx_, g));
   EXPECT_EQ(labels.size(), static_cast<std::size_t>(g.num_nodes));
 }
 

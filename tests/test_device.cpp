@@ -122,6 +122,29 @@ TEST_P(DeviceParam, ExclusiveScanInPlace) {
   EXPECT_EQ(data, expected);
 }
 
+TEST_P(DeviceParam, ColumnScanMatchesReference) {
+  // n_ columns of three rows: cell (r, c) becomes every cell of earlier
+  // columns plus the cells above it in column c.
+  constexpr std::size_t kRows = 3;
+  util::Rng rng(n_ + 6);
+  std::vector<std::int32_t> table(kRows * n_), expected(kRows * n_);
+  std::vector<std::int32_t> base(n_), expected_base(n_);
+  for (auto& v : table) v = static_cast<std::int32_t>(rng.below(10));
+  std::int32_t acc = 0;
+  for (std::size_t c = 0; c < n_; ++c) {
+    expected_base[c] = acc;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      expected[r * n_ + c] = acc;
+      acc += table[r * n_ + c];
+    }
+  }
+  const auto total =
+      exclusive_scan_columns(ctx_, table.data(), kRows, n_, base.data());
+  EXPECT_EQ(total, acc);
+  EXPECT_EQ(table, expected);
+  EXPECT_EQ(base, expected_base);
+}
+
 TEST_P(DeviceParam, GatherScatterRoundTrip) {
   if (n_ == 0) return;
   util::Rng rng(n_ + 6);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bridges/biconnectivity.hpp"
+#include "bridges/cc_spanning.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/two_ecc.hpp"
 #include "device/context.hpp"
@@ -335,7 +336,8 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   oracle.refresh(ctx_, dg);
   const EdgeList& snap = dg.snapshot(ctx_);
   const auto mask = bridges::find_bridges_dfs(dg.snapshot_csr(ctx_));
-  const auto labels = bridges::two_edge_components(ctx_, snap, mask);
+  const auto labels = bridges::two_edge_components(
+      ctx_, snap, bridges::cc_spanning_forest(ctx_, snap), mask);
   for (NodeId u = 0; u < 6; ++u) {
     for (NodeId v = 0; v < 6; ++v) {
       EXPECT_EQ(labels[u] == labels[v], oracle.same_2ecc(u, v));
@@ -352,6 +354,30 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   const auto bcc = bridges::biconnectivity_tv(ctx_, dg.snapshot(ctx_));
   EXPECT_EQ(bcc.num_blocks, 1u);  // a cycle is one block
   for (const auto a : bcc.is_articulation) EXPECT_EQ(a, 0);
+}
+
+TEST_P(DynamicParam, RebuildWithoutForestHintMatchesReference) {
+  // refresh() with no forest hint builds the spanning forest itself and
+  // labels the 2-ecc blocks from its tree edges. Each batch below erases
+  // edges, so every refresh runs that full rebuild, on snapshots that are
+  // disconnected and have isolated nodes.
+  util::Rng rng(23);
+  DynamicGraph dg(ctx_, gen::kron_graph(8, 3, 4));
+  ConnectivityOracle oracle;
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_TRUE(oracle.refresh(ctx_, dg));
+    ASSERT_EQ(oracle.rebuilds(), static_cast<std::size_t>(round + 1));
+    expect_oracle_matches_reference(ctx_, dg, oracle, rng, 300, "kron churn");
+    const EdgeList& snap = dg.snapshot(ctx_);
+    std::vector<Edge> erase, insert;
+    for (int i = 0; i < 12; ++i) {
+      erase.push_back(snap.edges[rng.below(snap.edges.size())]);
+      insert.push_back({static_cast<NodeId>(rng.below(dg.num_nodes())),
+                        static_cast<NodeId>(rng.below(dg.num_nodes()))});
+    }
+    dg.erase_edges(ctx_, erase);
+    dg.insert_edges(ctx_, insert);
+  }
 }
 
 // ------------------------------------------------ launch-count guarantees

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "device/context.hpp"
 #include "gen/graphs.hpp"
@@ -33,6 +34,32 @@ TEST(EdgeListValidation, RejectsOutOfRange) {
   EXPECT_FALSE(g.valid());
 }
 
+/// Star on n nodes: hub 0 joined to every other node.
+EdgeList star_graph(NodeId n) {
+  EdgeList g;
+  g.num_nodes = n;
+  for (NodeId v = 1; v < n; ++v) {
+    // Alternate orientation so the hub is both the u and the v endpoint.
+    g.edges.push_back(v % 2 ? Edge{0, v} : Edge{v, 0});
+  }
+  return g;
+}
+
+/// Inputs the CSR build must order exactly: a hub-heavy generator graph, a
+/// star, a raw multigraph with parallel pairs, isolated nodes, and m = 0.
+std::vector<EdgeList> csr_inputs() {
+  std::vector<EdgeList> inputs = {gen::kron_graph(10, 8, 3), star_graph(5000),
+                                  gen::er_graph(400, 3000, 9)};
+  EdgeList multi;
+  multi.num_nodes = 6;
+  multi.edges = {{0, 1}, {1, 0}, {1, 2}, {2, 1}, {1, 2}, {4, 2}, {0, 4}};
+  inputs.push_back(multi);
+  EdgeList empty;
+  empty.num_nodes = 17;
+  inputs.push_back(empty);
+  return inputs;
+}
+
 TEST(CsrMatches, AcceptsTheCsrBuiltFromTheList) {
   const device::Context ctx(2);
   const EdgeList g = simplified(gen::er_graph(200, 500, 7));
@@ -43,6 +70,19 @@ TEST(CsrMatches, AcceptsTheCsrBuiltFromTheList) {
   multi.num_nodes = 3;
   multi.edges = {{0, 1}, {1, 2}, {0, 1}};
   EXPECT_TRUE(csr_matches(multi, build_csr(ctx, multi)));
+  // One hub holding every edge: the row all slices count into.
+  const EdgeList star = star_graph(3000);
+  EXPECT_TRUE(csr_matches(star, build_csr(ctx, star)));
+  // Isolated nodes around a few edges, and no edges at all.
+  EdgeList sparse;
+  sparse.num_nodes = 50;
+  sparse.edges = {{3, 40}, {40, 7}, {3, 7}};
+  EXPECT_TRUE(csr_matches(sparse, build_csr(ctx, sparse)));
+  EdgeList empty;
+  empty.num_nodes = 9;
+  const Csr none = build_csr(ctx, empty);
+  EXPECT_TRUE(csr_matches(empty, none));
+  EXPECT_EQ(none.row_offsets, std::vector<EdgeId>(10, 0));
 }
 
 TEST(CsrMatches, RejectsMismatchedPairs) {
@@ -104,6 +144,38 @@ TEST_P(CsrParam, DegreesSumToTwiceEdges) {
     total += static_cast<std::size_t>(csr.degree(v));
   }
   EXPECT_EQ(total, 2 * g.edges.size());
+}
+
+TEST_P(CsrParam, RowsListHalfEdgesInAscendingEdgeIdOrder) {
+  for (const EdgeList& g : csr_inputs()) {
+    const Csr csr = build_csr(ctx_, g);
+    ASSERT_TRUE(csr_matches(g, csr));
+    for (NodeId v = 0; v < csr.num_nodes; ++v) {
+      for (EdgeId i = csr.row_offsets[v] + 1; i < csr.row_offsets[v + 1];
+           ++i) {
+        ASSERT_LT(csr.edge_ids[i - 1], csr.edge_ids[i])
+            << "row " << v << " of a graph with " << g.edges.size()
+            << " edges";
+      }
+    }
+  }
+}
+
+TEST(BuildCsr, IdenticalAtEveryWorkerCountAndAcrossBuilds) {
+  const device::Context one(1), two(2), four(4);
+  for (const EdgeList& g : csr_inputs()) {
+    const Csr expected = build_csr(one, g);
+    for (const device::Context* ctx : {&one, &two, &four, &four, &two}) {
+      const Csr csr = build_csr(*ctx, g);
+      ASSERT_EQ(csr.num_nodes, expected.num_nodes);
+      ASSERT_EQ(csr.row_offsets, expected.row_offsets)
+          << ctx->workers() << " workers, m = " << g.edges.size();
+      ASSERT_EQ(csr.neighbors, expected.neighbors)
+          << ctx->workers() << " workers, m = " << g.edges.size();
+      ASSERT_EQ(csr.edge_ids, expected.edge_ids)
+          << ctx->workers() << " workers, m = " << g.edges.size();
+    }
+  }
 }
 
 TEST_P(CsrParam, IsolatedNodesHaveZeroDegree) {
